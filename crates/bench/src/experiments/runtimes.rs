@@ -179,6 +179,22 @@ pub fn dp_perf_platform(p: usize) -> Platform {
     Platform::new(procs, 0).expect("synthetic platform")
 }
 
+/// A `p`-processor linear platform over Table 1's slope ranges, each
+/// slope perturbed deterministically so that it carries a full 53-bit
+/// mantissa: the widest exact operands a linear platform of this size
+/// hands the LP heuristic and the closed form.
+pub fn wide_linear_platform(p: usize) -> Platform {
+    let procs = (0..p)
+        .map(|i| {
+            let wobble = 1.0 + ((i * 37) % 64) as f64 * 1e-3 / 3.0;
+            let beta = if i == 0 { 0.0 } else { 1e-5 * (1.0 + i as f64 / 7.0) * wobble };
+            let alpha = 4e-3 * (1.0 + (i % 5) as f64 / 3.0) * wobble;
+            gs_scatter::cost::Processor::linear(format!("w{i}"), beta, alpha)
+        })
+        .collect();
+    Platform::new(procs, 0).expect("generated platform is valid")
+}
+
 /// Times the engine variants on [`dp_perf_platform`] platforms.
 /// `threads` is the worker count of the parallel variants; tabulations
 /// are pre-warmed through a shared [`CostTable`] so every variant times

@@ -170,17 +170,19 @@ pub fn closed_form_from_slopes(
     }
 
     // Theorem 1: t = n·D, n_i = t/(α_i+β_i) · Π_{j<i} α_j/(α_j+β_j) over
-    // participants.
+    // participants. Carrying the product t·Π (instead of t and Π apart)
+    // multiplies one large rational by one processor's small slopes per
+    // step, never two large rationals.
     let t = &Rational::from(n) / &inv_d; // n · D
     let mut shares = vec![Rational::zero(); p];
-    let mut prefix = Rational::one();
+    let mut scaled_prefix = t.clone();
     for i in 0..p {
         if !participants[i] {
             continue;
         }
         let inv_ab = (&slopes.alpha[i] + &slopes.beta[i]).recip();
-        shares[i] = &(&t * &inv_ab) * &prefix;
-        prefix = &prefix * &(&slopes.alpha[i] * &inv_ab);
+        shares[i] = &scaled_prefix * &inv_ab;
+        scaled_prefix = &scaled_prefix * &(&slopes.alpha[i] * &inv_ab);
     }
     debug_assert_eq!(
         shares.iter().fold(Rational::zero(), |a, s| a + s),

@@ -495,6 +495,36 @@ pub struct HistogramSnapshot {
     pub exemplar: Option<String>,
 }
 
+/// Which solver answered each §3.3 LP heuristic solve
+/// ([`crate::heuristic`]): the structured O(p) solver, or the dense
+/// simplex it falls back to when its optimality certificate fails.
+#[derive(Debug, Clone)]
+pub struct HeuristicLpCounters {
+    /// `heuristic_lp_structured_total`: solves the structured solver
+    /// certified.
+    pub structured: Arc<Counter>,
+    /// `heuristic_lp_fallbacks_total`: solves that fell back to the
+    /// simplex.
+    pub fallbacks: Arc<Counter>,
+}
+
+impl HeuristicLpCounters {
+    /// The counters in [`Registry::global`], registered on first use.
+    pub fn global() -> HeuristicLpCounters {
+        let reg = Registry::global();
+        HeuristicLpCounters {
+            structured: reg.counter(
+                "heuristic_lp_structured_total",
+                "LP heuristic solves answered by the structured O(p) solver",
+            ),
+            fallbacks: reg.counter(
+                "heuristic_lp_fallbacks_total",
+                "LP heuristic solves that fell back to the dense simplex",
+            ),
+        }
+    }
+}
+
 /// Escapes a HELP text for the Prometheus text exposition format 0.0.4:
 /// `\` becomes `\\` and a line feed becomes `\n` (those are the only two
 /// escapes the spec defines for help lines).

@@ -372,10 +372,20 @@ mod tests {
     use super::*;
     use crate::obs::json;
 
+    /// Serializes the tests that flip the process-wide enabled flag: one
+    /// test switching tracing off mid-way through another's recording
+    /// would make that recording come back empty.
+    static ENABLED_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn flag_guard() -> std::sync::MutexGuard<'static, ()> {
+        ENABLED_FLAG.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Spans recorded between `reset` and `drain` by this test only:
     /// other tests in the process may record concurrently, so filter
     /// to the ids this closure's guards produced.
     fn record_isolated(f: impl FnOnce()) -> Vec<SpanRecord> {
+        let _flag = flag_guard();
         let was = enabled();
         set_enabled(true);
         let lo = NEXT_ID.load(Ordering::Relaxed);
@@ -390,6 +400,7 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         // Run with tracing forced off; the guard must be inert.
+        let _flag = flag_guard();
         let was = enabled();
         set_enabled(false);
         let g = span("t", "noop");
@@ -423,9 +434,14 @@ mod tests {
             let root = span("t", "coord");
             let root_id = root.id();
             std::thread::scope(|s| {
+                // Join explicitly: unlike the scope's implicit join, it
+                // waits for the thread-local destructors, so the worker's
+                // exit-time flush has landed before `drain`.
                 s.spawn(move || {
                     let _w = span_with_parent("t", "worker", root_id);
-                });
+                })
+                .join()
+                .unwrap();
             });
         });
         let root = spans.iter().find(|s| s.name == "coord").unwrap();

@@ -12,7 +12,7 @@
 //! while it is negative. The final share absorbs the residual error, which
 //! the loop keeps in `(-1, 1)`, so it also moves by less than one.
 
-use gs_numeric::{BigInt, Rational};
+use gs_numeric::{BigInt, BigUint, Rational};
 
 /// Rounds rational shares (summing exactly to `n`) to integer counts.
 ///
@@ -31,6 +31,101 @@ use gs_numeric::{BigInt, Rational};
 /// indicate a bug in the caller (the LP and the closed form always hand
 /// over exact-sum, non-negative shares).
 pub fn round_shares(shares: &[Rational], n: usize) -> Vec<usize> {
+    assert!(!shares.is_empty(), "at least one share");
+    assert!(shares.iter().all(|s| !s.is_negative()), "shares must be non-negative");
+    // Integers over the common denominator `den`: share i is
+    // `scaled[i] / den`. The LP and the closed form hand over shares with
+    // one denominator, so this costs no big gcd per share, and every
+    // distance below compares as a plain integer.
+    let den = shares.iter().fold(BigUint::one(), |l, s| lcm(&l, s.denom()));
+    let scaled: Vec<BigUint> =
+        shares.iter().map(|s| s.numer().magnitude() * &(&den / s.denom())).collect();
+    let total = scaled.iter().fold(BigUint::zero(), |mut acc, x| {
+        acc += x;
+        acc
+    });
+    assert_eq!(total, &BigUint::from(n) * &den, "shares must sum exactly to n");
+
+    // Each share's floor and its distances (times `den`) down to the
+    // floor and up to the ceiling, computed once.
+    let (floors, down): (Vec<BigUint>, Vec<BigUint>) =
+        scaled.iter().map(|x| x.divrem(&den)).unzip();
+    let up: Vec<BigUint> =
+        down.iter().map(|r| if r.is_zero() { BigUint::zero() } else { &den - r }).collect();
+    // `Rational::round` rounds halves up: the nearest target is the
+    // ceiling exactly when the fractional part is at least one half.
+    let round_up: Vec<bool> = down.iter().zip(&up).map(|(d, u)| d >= u).collect();
+    let p = shares.len();
+    let mut rounded_up = vec![false; p];
+    let mut remaining: Vec<usize> = (0..p).collect();
+    // Accumulated rounding error Σ (n'_i − n_i) over the fixed shares,
+    // times `den`.
+    let mut err = BigInt::zero();
+
+    while remaining.len() > 1 {
+        // Pick the remaining share nearest to its rounding target: the
+        // first minimum in `remaining` order.
+        let goes_up = |i: usize| {
+            if err.is_positive() {
+                false
+            } else if err.is_negative() {
+                true
+            } else {
+                round_up[i]
+            }
+        };
+        let pos = (0..remaining.len())
+            .min_by_key(|&pos| {
+                let i = remaining[pos];
+                if goes_up(i) {
+                    &up[i]
+                } else {
+                    &down[i]
+                }
+            })
+            .expect("remaining is non-empty");
+        let i = remaining.swap_remove(pos);
+        if goes_up(i) && !down[i].is_zero() {
+            rounded_up[i] = true;
+            err += &BigInt::from(up[i].clone());
+        } else {
+            err -= &BigInt::from(down[i].clone());
+        }
+        debug_assert!(err.magnitude() < &den, "error stays in (-1, 1)");
+    }
+
+    // The last share absorbs the residual error exactly.
+    let k = remaining[0];
+    let last = &BigInt::from(scaled[k].clone()) - &err;
+    assert!(!last.is_negative(), "rounded share must be non-negative");
+    let (last, rem) = last.magnitude().divrem(&den);
+    debug_assert!(rem.is_zero(), "residual must be integral");
+
+    (0..p)
+        .map(|i| {
+            let count = if i == k {
+                last.clone()
+            } else if rounded_up[i] {
+                &floors[i] + &BigUint::one()
+            } else {
+                floors[i].clone()
+            };
+            count.to_u64().expect("share fits u64") as usize
+        })
+        .collect()
+}
+
+/// Least common multiple of two positive integers.
+fn lcm(a: &BigUint, b: &BigUint) -> BigUint {
+    &(a / &a.gcd(b)) * b
+}
+
+/// The original formulation of [`round_shares`], which recomputes every
+/// remaining share's target and distance in rationals on each pass
+/// (O(p²) big-rational operations); kept as the oracle for the integer
+/// version.
+#[cfg(test)]
+fn round_shares_reference(shares: &[Rational], n: usize) -> Vec<usize> {
     assert!(!shares.is_empty(), "at least one share");
     let sum = shares.iter().fold(Rational::zero(), |acc, s| acc + s);
     assert_eq!(sum, Rational::from(n), "shares must sum exactly to n");
@@ -64,16 +159,12 @@ pub fn round_shares(shares: &[Rational], n: usize) -> Vec<usize> {
             .expect("remaining is non-empty");
         let i = remaining.swap_remove(pos);
         err += &(&Rational::from(rounded.clone()) - &shares[i]);
-        debug_assert!(err.abs() < Rational::one(), "error stays in (-1, 1)");
         out[i] = Some(rounded);
     }
 
     // Last share absorbs the residual error exactly.
     let k = remaining[0];
-    let last = &shares[k] - &err;
-    debug_assert!(last.is_integer(), "residual must be integral");
-    debug_assert!((&last - &shares[k]).abs() < Rational::one());
-    out[k] = Some(last.floor());
+    out[k] = Some((&shares[k] - &err).floor());
 
     out.into_iter()
         .map(|v| {
@@ -162,6 +253,55 @@ mod tests {
                 .map(|&wi| &Rational::from(n) * &r(wi, wsum))
                 .collect();
             check(&shares, n);
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_ties() {
+        // Repeated thirds and halves: every selection is a tie that the
+        // first-minimum-in-`remaining`-order rule must break identically.
+        let cases: Vec<(Vec<Rational>, usize)> = vec![
+            (vec![r(10, 3); 3], 10),
+            (vec![r(1, 3); 6], 2),
+            (vec![r(3, 2), r(1, 2), r(3, 2), r(1, 2), r(2, 1)], 6),
+            (vec![r(2, 3), r(1, 3), r(2, 3), r(1, 3), r(4, 3), r(2, 3)], 4),
+            (vec![r(0, 1), r(5, 2), r(0, 1), r(5, 2)], 5),
+        ];
+        for (shares, n) in cases {
+            assert_eq!(round_shares(&shares, n), round_shares_reference(&shares, n), "{shares:?}");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Shares summing to an integer: random fractions over small
+    /// denominators (tie-heavy) or wide ones, optionally all equal, plus
+    /// one closing share that makes the sum integral.
+    fn shares_strategy() -> impl Strategy<Value = (Vec<Rational>, usize)> {
+        let dens = [1i64, 2, 3, 4, 6, 7, 1 << 20, 999_983];
+        let share = (0i64..40, 0usize..dens.len()).prop_map(move |(k, d)| (k, dens[d]));
+        (proptest::collection::vec(share, 0..12), 0i64..3, any::<bool>()).prop_map(
+            |(raw, extra, repeat)| {
+                let mut shares: Vec<Rational> = raw.iter().map(|&(k, d)| r(k, d)).collect();
+                if repeat && !shares.is_empty() {
+                    let first = shares[0].clone();
+                    shares.iter_mut().for_each(|s| *s = first.clone());
+                }
+                let sum = shares.iter().fold(Rational::zero(), |a, s| a + s);
+                let n = Rational::from(sum.ceil()) + Rational::from(extra);
+                shares.push(&n - &sum);
+                (shares, n.floor().to_i64().unwrap() as usize)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The integer selection loop returns exactly the reference's counts.
+        #[test]
+        fn matches_reference((shares, n) in shares_strategy()) {
+            prop_assert_eq!(round_shares(&shares, n), round_shares_reference(&shares, n));
         }
     }
 

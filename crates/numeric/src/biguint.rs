@@ -39,11 +39,10 @@ impl BigUint {
     }
 
     /// Builds from raw little-endian limbs (normalizes trailing zeros).
-    pub fn from_limbs(mut limbs: Vec<u32>) -> Self {
-        while limbs.last() == Some(&0) {
-            limbs.pop();
-        }
-        BigUint { limbs }
+    pub fn from_limbs(limbs: Vec<u32>) -> Self {
+        let mut v = BigUint { limbs };
+        v.trim();
+        v
     }
 
     /// Read-only view of the little-endian limbs.
@@ -278,7 +277,13 @@ impl BigUint {
         (BigUint::from_limbs(q), rem)
     }
 
-    /// Greatest common divisor (binary GCD).
+    /// Greatest common divisor.
+    ///
+    /// Binary GCD working in place on the two operands' limb buffers (no
+    /// allocation per step). An operand more than one limb longer than
+    /// the other is first reduced by one Euclidean remainder, so
+    /// `gcd(huge, small)` does not walk the huge operand bit by bit; once
+    /// both operands fit in a word the rest is a `u64` Euclid.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
         if self.is_zero() {
             return other.clone();
@@ -286,25 +291,67 @@ impl BigUint {
         if other.is_zero() {
             return self.clone();
         }
+        if self.is_one() || other.is_one() {
+            return BigUint::one();
+        }
         let mut a = self.clone();
         let mut b = other.clone();
-        let az = a.trailing_zeros();
-        let bz = b.trailing_zeros();
-        let common = az.min(bz);
-        a = a >> az;
-        b = b >> bz;
-        // Both odd from here on.
+        let (az, bz) = (a.trailing_zeros(), b.trailing_zeros());
+        a.shr_assign_bits(az);
+        b.shr_assign_bits(bz);
+        // Both odd from here on; keep `a >= b`.
         loop {
+            if let (Some(x), Some(y)) = (a.to_u64(), b.to_u64()) {
+                a = BigUint::from(gcd_u64(x, y));
+                break;
+            }
             match a.cmp(&b) {
                 Ordering::Equal => break,
                 Ordering::Less => std::mem::swap(&mut a, &mut b),
                 Ordering::Greater => {}
             }
-            a = a.checked_sub(&b).expect("a > b");
+            if a.limbs.len() > b.limbs.len() + 1 {
+                a = a.divrem(&b).1;
+                if a.is_zero() {
+                    a = b;
+                    break;
+                }
+            } else {
+                sub_in_place(&mut a.limbs, &b);
+                a.trim();
+            }
+            // `a` is non-zero: a > b before the subtraction, and a zero
+            // remainder left the loop.
             let z = a.trailing_zeros();
-            a = a >> z;
+            a.shr_assign_bits(z);
         }
-        a << common
+        let common = az.min(bz);
+        if common == 0 {
+            a
+        } else {
+            a << common
+        }
+    }
+
+    /// `self >>= bits` in place.
+    fn shr_assign_bits(&mut self, bits: u64) {
+        let whole = ((bits / LIMB_BITS as u64) as usize).min(self.limbs.len());
+        let part = (bits % LIMB_BITS as u64) as u32;
+        self.limbs.drain(..whole);
+        if part != 0 {
+            for i in 0..self.limbs.len() {
+                let hi = self.limbs.get(i + 1).map_or(0, |&l| l << (LIMB_BITS - part));
+                self.limbs[i] = self.limbs[i] >> part | hi;
+            }
+        }
+        self.trim();
+    }
+
+    /// Drops trailing zero limbs, restoring the normalized form.
+    fn trim(&mut self) {
+        while self.limbs.last() == Some(&0) {
+            self.limbs.pop();
+        }
     }
 
     /// Number of trailing zero bits (`0` for zero).
@@ -374,6 +421,14 @@ fn sub_in_place(slice: &mut [u32], b: &BigUint) {
         }
     }
     debug_assert_eq!(borrow, 0, "caller must guarantee slice >= b");
+}
+
+/// Euclid's algorithm on machine words.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 // ---- conversions ----------------------------------------------------------
@@ -560,36 +615,15 @@ impl Shl<u64> for BigUint {
 impl Shr<u64> for &BigUint {
     type Output = BigUint;
     fn shr(self, bits: u64) -> BigUint {
-        if self.is_zero() || bits == 0 {
-            return self.clone();
-        }
-        let limb_shift = (bits / LIMB_BITS as u64) as usize;
-        if limb_shift >= self.limbs.len() {
-            return BigUint::zero();
-        }
-        let bit_shift = (bits % LIMB_BITS as u64) as u32;
-        let src = &self.limbs[limb_shift..];
-        let mut out = Vec::with_capacity(src.len());
-        if bit_shift == 0 {
-            out.extend_from_slice(src);
-        } else {
-            for i in 0..src.len() {
-                let hi = if i + 1 < src.len() {
-                    src[i + 1] << (LIMB_BITS - bit_shift)
-                } else {
-                    0
-                };
-                out.push((src[i] >> bit_shift) | hi);
-            }
-        }
-        BigUint::from_limbs(out)
+        self.clone() >> bits
     }
 }
 
 impl Shr<u64> for BigUint {
     type Output = BigUint;
-    fn shr(self, bits: u64) -> BigUint {
-        (&self) >> bits
+    fn shr(mut self, bits: u64) -> BigUint {
+        self.shr_assign_bits(bits);
+        self
     }
 }
 
@@ -776,21 +810,75 @@ mod tests {
         assert_eq!(big(1 << 40).gcd(&big(1 << 20)), big(1 << 20));
     }
 
-    #[test]
-    fn gcd_large_matches_euclid() {
-        let a = BigUint::from_str("123456789012345678901234567890").unwrap();
-        let b = BigUint::from_str("987654321098765432109876543210").unwrap();
-        let g = a.gcd(&b);
-        // Euclid reference
+    /// Euclid's algorithm: the reference the binary GCD is checked against.
+    fn euclid(a: &BigUint, b: &BigUint) -> BigUint {
         let (mut x, mut y) = (a.clone(), b.clone());
         while !y.is_zero() {
             let r = (&x).rem(&y);
             x = y;
             y = r;
         }
-        assert_eq!(g, x);
+        x
+    }
+
+    #[test]
+    fn gcd_large_matches_euclid() {
+        let a = BigUint::from_str("123456789012345678901234567890").unwrap();
+        let b = BigUint::from_str("987654321098765432109876543210").unwrap();
+        let g = a.gcd(&b);
+        assert_eq!(g, euclid(&a, &b));
         assert_eq!((&a).rem(&g), BigUint::zero());
         assert_eq!((&b).rem(&g), BigUint::zero());
+    }
+
+    #[test]
+    fn gcd_with_one_and_lopsided_sizes() {
+        let huge = (BigUint::one() << 6000) + big(12345);
+        assert_eq!(huge.gcd(&BigUint::one()), BigUint::one());
+        assert_eq!(BigUint::one().gcd(&huge), BigUint::one());
+        // 2^k against an odd multi-limb value: the common power of two is
+        // taken out before the odd loop, leaving gcd 1.
+        assert_eq!((BigUint::one() << 300).gcd(&huge), BigUint::one());
+        let m = big(3 * 5 * 7 * 1024);
+        assert_eq!((&huge * &m).gcd(&(&m * &big(11))), m);
+    }
+
+    use proptest::prelude::*;
+
+    /// A random value of 1–200 limbs with a non-zero top limb.
+    fn limbs_strategy() -> impl Strategy<Value = BigUint> {
+        (proptest::collection::vec(any::<u32>(), 0..200), 1u32..=u32::MAX).prop_map(
+            |(mut limbs, top)| {
+                limbs.push(top);
+                BigUint::from_limbs(limbs)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The in-place binary GCD equals Euclid on random multi-limb
+        /// values, with and without a planted common factor (which may
+        /// carry powers of two).
+        #[test]
+        fn gcd_matches_euclid(
+            a in limbs_strategy(),
+            b in limbs_strategy(),
+            f in limbs_strategy(),
+            shift in 0u64..80,
+            plant in any::<bool>(),
+        ) {
+            let (a, b) = if plant {
+                let f = &f << shift;
+                (&a * &f, &b * &f)
+            } else {
+                (a, b)
+            };
+            let g = a.gcd(&b);
+            prop_assert_eq!(&g, &euclid(&a, &b));
+            prop_assert_eq!(&g, &b.gcd(&a));
+        }
     }
 
     #[test]

@@ -383,6 +383,15 @@ fn parse_strategy(s: &str) -> Result<Strategy, String> {
 mod tests {
     use super::*;
 
+    /// Serializes this module's tests: `serve_computes_total` is a
+    /// process-wide counter, so a plan computed by one test would show
+    /// up in another test's before/after delta.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     const PLATFORM: &str = "proc root beta=0 alpha=0.009\n\
                             proc fast beta=1e-5 alpha=0.004\n\
                             proc slow beta=2e-5 alpha=0.016\n";
@@ -407,6 +416,7 @@ mod tests {
 
     #[test]
     fn plan_matches_direct_library_call() {
+        let _serial = serial();
         let engine = Engine::new(EngineConfig::default());
         let wire = plan_result(engine.handle(plan_request("1", 5000, "exact")));
         let direct = Planner::new(parse_platform(PLATFORM).unwrap())
@@ -421,6 +431,7 @@ mod tests {
 
     #[test]
     fn repeat_requests_hit_the_result_cache() {
+        let _serial = serial();
         let engine = Engine::new(EngineConfig::default());
         let first = plan_result(engine.handle(plan_request("1", 3000, "exact-dc")));
         let second = plan_result(engine.handle(plan_request("2", 3000, "exact-dc")));
@@ -432,6 +443,7 @@ mod tests {
 
     #[test]
     fn different_params_do_not_collide() {
+        let _serial = serial();
         let engine = Engine::new(EngineConfig::default());
         let a = plan_result(engine.handle(plan_request("1", 3000, "exact")));
         let b = plan_result(engine.handle(plan_request("2", 3001, "exact")));
@@ -442,6 +454,7 @@ mod tests {
 
     #[test]
     fn simulate_and_plan_are_cached_separately() {
+        let _serial = serial();
         let engine = Engine::new(EngineConfig::default());
         plan_result(engine.handle(plan_request("1", 2000, "exact")));
         let sim = engine.handle(Request {
@@ -465,6 +478,7 @@ mod tests {
 
     #[test]
     fn errors_are_reported_not_panicked() {
+        let _serial = serial();
         let engine = Engine::new(EngineConfig::default());
         for (req, want_code) in [
             (plan_request("1", 0, "exact"), ErrorCode::PlanFailed),
@@ -494,6 +508,7 @@ mod tests {
 
     #[test]
     fn ping_metrics_and_shutdown_respond() {
+        let _serial = serial();
         let engine = Engine::new(EngineConfig::default());
         assert_eq!(
             engine.handle(Request { id: "1".into(), body: RequestBody::Ping }).outcome,
@@ -513,6 +528,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_compute_once() {
+        let _serial = serial();
         let reg = Registry::global();
         let computes = reg.counter("serve_computes_total", "planning computations actually run");
         let before = computes.get();
@@ -543,6 +559,7 @@ mod tests {
 
     #[test]
     fn admission_control_sheds_excess_load() {
+        let _serial = serial();
         // A budget of zero sheds every cache-missing request, which is
         // the deterministic way to exercise the overload path.
         let engine =

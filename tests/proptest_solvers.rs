@@ -1,13 +1,14 @@
 //! Property tests over random platforms: the paper's guarantees must hold
 //! on *every* valid input, not just the testbed.
 
+use gs_bench::experiments::runtimes::wide_linear_platform;
 use grid_scatter::prelude::{OrderPolicy, Planner, Platform, Processor};
 use grid_scatter::scatter::brute::{best_order_exhaustive, brute_force_distribution};
 use grid_scatter::scatter::closed_form::closed_form_distribution;
 use grid_scatter::scatter::dp_basic::optimal_distribution_basic;
 use grid_scatter::scatter::dp_dc::optimal_distribution_dc;
 use grid_scatter::scatter::dp_optimized::optimal_distribution;
-use grid_scatter::scatter::heuristic::heuristic_distribution;
+use grid_scatter::scatter::heuristic::{heuristic_distribution, heuristic_distribution_simplex};
 use grid_scatter::scatter::ordering::scatter_order;
 use grid_scatter::scatter::planner::Strategy as PlanStrategy;
 use proptest::prelude::*;
@@ -200,6 +201,56 @@ proptest! {
         prop_assert_eq!(&dc.counts, &basic.counts);
         prop_assert_eq!(dc.makespan.to_bits(), basic.makespan.to_bits());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The structured O(p) LP solver (or its own simplex fallback) returns
+    /// exactly the dense simplex's rational optimum and rounded counts on
+    /// linear platforms.
+    #[test]
+    fn structured_lp_equals_simplex_linear(platform in platform_strategy(6), n in 0usize..=10_000) {
+        let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
+        let view = platform.ordered(&order);
+        let h = heuristic_distribution(&view, n).unwrap();
+        let s = heuristic_distribution_simplex(&view, n).unwrap();
+        prop_assert_eq!(&h.rational_shares, &s.rational_shares);
+        prop_assert_eq!(&h.rational_makespan, &s.rational_makespan);
+        prop_assert_eq!(&h.counts, &s.counts);
+    }
+
+    /// Same on affine platforms, where intercepts can push shares to zero
+    /// (the certificate fails and the simplex answers): half the cases
+    /// use so few items that the intercepts dominate.
+    #[test]
+    fn structured_lp_equals_simplex_affine(
+        platform in affine_platform_strategy(6),
+        n in (0usize..=10_000, any::<bool>()).prop_map(|(n, few)| if few { n % 8 } else { n }),
+    ) {
+        let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
+        let view = platform.ordered(&order);
+        let h = heuristic_distribution(&view, n).unwrap();
+        let s = heuristic_distribution_simplex(&view, n).unwrap();
+        prop_assert_eq!(&h.rational_shares, &s.rational_shares);
+        prop_assert_eq!(&h.rational_makespan, &s.rational_makespan);
+        prop_assert_eq!(&h.counts, &s.counts);
+    }
+}
+
+/// At p = 64 with full-mantissa slopes (out of the dense simplex's reach),
+/// the heuristic's rational optimum is exactly the closed form's.
+#[test]
+fn heuristic_equals_closed_form_at_p_64() {
+    let platform = wide_linear_platform(64);
+    let order = scatter_order(&platform, OrderPolicy::DescendingBandwidth);
+    let view = platform.ordered(&order);
+    let n = 100_000;
+    let h = heuristic_distribution(&view, n).unwrap();
+    let cf = closed_form_distribution(&view, n).unwrap();
+    assert_eq!(h.rational_makespan, cf.duration);
+    assert_eq!(h.rational_shares, cf.shares);
+    assert_eq!(h.counts, cf.counts);
 }
 
 /// Degenerate shapes the split recursion must survive: no items, fewer
